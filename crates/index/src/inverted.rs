@@ -51,16 +51,31 @@ pub const BLOCK: usize = 64;
 /// assert_eq!(out, ["foo", "bar", "2", "baz", "rs"]);
 /// ```
 pub fn tokenize_into(text: &str, out: &mut Vec<String>) {
+    let mut tokens = Tokens(text.chars());
     let mut token = String::new();
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            token.extend(ch.to_lowercase());
-        } else if !token.is_empty() {
-            out.push(std::mem::take(&mut token));
-        }
+    while tokens.next_into(&mut token) {
+        out.push(std::mem::take(&mut token));
     }
-    if !token.is_empty() {
-        out.push(token);
+}
+
+/// A cursor over the tokens of one text that reads each token into a
+/// caller-owned buffer, so a walk allocates nothing per token. Cloning it
+/// saves a position to resume from.
+#[derive(Clone)]
+struct Tokens<'t>(std::str::Chars<'t>);
+
+impl Tokens<'_> {
+    /// Reads the next token into `buf`; `false` once the text is used up.
+    fn next_into(&mut self, buf: &mut String) -> bool {
+        buf.clear();
+        for ch in self.0.by_ref() {
+            if ch.is_alphanumeric() {
+                buf.extend(ch.to_lowercase());
+            } else if !buf.is_empty() {
+                return true;
+            }
+        }
+        !buf.is_empty()
     }
 }
 
@@ -92,36 +107,58 @@ pub fn record_tokens(record: &FileRecord) -> Vec<String> {
     out
 }
 
+/// Whether any token of the record's text satisfies `accept`. Tokens are
+/// read one at a time into `buf`, and the walk stops at the first accepted
+/// one.
+fn any_record_token(
+    record: &FileRecord,
+    buf: &mut String,
+    mut accept: impl FnMut(&str) -> bool,
+) -> bool {
+    record_text_fields(record).any(|field| {
+        let mut tokens = Tokens(field.chars());
+        while tokens.next_into(buf) {
+            if accept(buf) {
+                return true;
+            }
+        }
+        false
+    })
+}
+
 /// Whether a record contains every term in `terms` (tokens anywhere).
 pub fn record_contains_all(record: &FileRecord, terms: &[String]) -> bool {
-    let tokens = record_tokens(record);
-    terms.iter().all(|t| tokens.iter().any(|tok| tok == t))
+    let mut buf = String::new();
+    terms.iter().all(|term| any_record_token(record, &mut buf, |token| token == term))
 }
 
 /// Whether a record contains at least one term of `terms`.
 pub fn record_contains_any(record: &FileRecord, terms: &[String]) -> bool {
-    let tokens = record_tokens(record);
-    terms.iter().any(|t| tokens.iter().any(|tok| tok == t))
+    let mut buf = String::new();
+    any_record_token(record, &mut buf, |token| terms.iter().any(|term| term == token))
 }
 
 /// Whether a record contains `terms` as an adjacent token run inside a
 /// single text field. Empty phrases match everything; one-term phrases
 /// degrade to a plain contains check.
 pub fn record_contains_phrase(record: &FileRecord, terms: &[String]) -> bool {
-    if terms.is_empty() {
-        return true;
-    }
-    let mut field_tokens = Vec::new();
-    for field in record_text_fields(record) {
-        field_tokens.clear();
-        tokenize_into(field, &mut field_tokens);
-        if field_tokens.len() >= terms.len()
-            && field_tokens.windows(terms.len()).any(|w| w == terms)
-        {
-            return true;
+    let Some((first, rest)) = terms.split_first() else { return true };
+    let mut buf = String::new();
+    record_text_fields(record).any(|field| {
+        let mut tokens = Tokens(field.chars());
+        while tokens.next_into(&mut buf) {
+            if buf != *first {
+                continue;
+            }
+            // Match the rest of the phrase on a copy of the cursor, so a
+            // mismatch resumes at the token after this `first`.
+            let mut probe = tokens.clone();
+            if rest.iter().all(|term| probe.next_into(&mut buf) && buf == *term) {
+                return true;
+            }
         }
-    }
-    false
+        false
+    })
 }
 
 /// The BM25 inverse document frequency of a term with document frequency
@@ -138,12 +175,6 @@ pub fn bm25_score(idf: f64, tf: u32, doc_len: u32, avg_doc_len: f64) -> f64 {
     let norm =
         if avg_doc_len > 0.0 { 1.0 - BM25_B + BM25_B * doc_len as f64 / avg_doc_len } else { 1.0 };
     idf * tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm)
-}
-
-/// An upper bound on any document's BM25 contribution for a term: the
-/// `tf → ∞`, `len → 0` limit `idf·(k1+1)`.
-pub fn bm25_term_bound(idf: f64) -> f64 {
-    idf * (BM25_K1 + 1.0)
 }
 
 /// An upper bound on the BM25 contribution of any posting in a block with
@@ -491,23 +522,6 @@ impl InvertedIndex {
         bm25_idf(self.doc_count(), self.df(term))
     }
 
-    /// The full BM25 score of a document for a conjunction/disjunction of
-    /// terms — the scalar the executor ranks by. Terms the document lacks
-    /// contribute zero.
-    pub fn score_doc(&self, file: FileId, terms: &[String]) -> f64 {
-        let avgdl = self.avg_doc_len();
-        let len = self.doc_len(file);
-        let mut score = 0.0;
-        for term in terms {
-            if let Some(postings) = self.terms.get(term) {
-                if let Ok(pos) = postings.postings.binary_search_by_key(&file, |p| p.file) {
-                    score += bm25_score(self.idf(term), postings.postings[pos].tf, len, avgdl);
-                }
-            }
-        }
-        score
-    }
-
     /// A deterministic fingerprint of the postings and df tables — what
     /// crash-recovery tests compare across a rebuild: every term with its
     /// df and full `(file, tf)` posting list, sorted by term.
@@ -677,6 +691,39 @@ mod tests {
     }
 
     #[test]
+    fn contains_checks_agree_with_the_token_list_definition() {
+        // The token walks against their definition over whole token lists,
+        // on two-field records built from repeated words (so a phrase match
+        // can start inside a failed one), mixed separators and case.
+        struct Lcg(u64);
+        impl Lcg {
+            fn below(&mut self, n: usize) -> usize {
+                self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (self.0 >> 33) as usize % n
+            }
+        }
+        fn text(rng: &mut Lcg) -> String {
+            let words: Vec<&str> =
+                (0..rng.below(7)).map(|_| ["a", "b", "A", "ab"][rng.below(4)]).collect();
+            words.join([" ", "-", ", ", ""][rng.below(4)])
+        }
+        let mut rng = Lcg(7);
+        for _ in 0..2000 {
+            let r = rec(1, &[&text(&mut rng)], Some(&text(&mut rng)));
+            let terms: Vec<String> = (0..rng.below(4))
+                .map(|_| ["a", "b", "ab", "A", ""][rng.below(5)].to_owned())
+                .collect();
+            let tokens = record_tokens(&r);
+            let phrase = terms.is_empty()
+                || record_text_fields(&r)
+                    .any(|f| tokenize(f).windows(terms.len()).any(|w| w == terms));
+            assert_eq!(record_contains_all(&r, &terms), terms.iter().all(|t| tokens.contains(t)));
+            assert_eq!(record_contains_any(&r, &terms), terms.iter().any(|t| tokens.contains(t)));
+            assert_eq!(record_contains_phrase(&r, &terms), phrase, "{r:?} {terms:?}");
+        }
+    }
+
+    #[test]
     fn bm25_rewards_tf_and_penalizes_df_and_length() {
         let n = 1000;
         let rare = bm25_idf(n, 2);
@@ -688,20 +735,9 @@ mod tests {
         assert!(s3 > s1, "more occurrences score higher");
         let long = bm25_score(rare, 1, 100, 10.0);
         assert!(long < s1, "longer documents score lower");
-        assert!(bm25_term_bound(rare) >= bm25_block_bound(rare, 1_000_000));
+        assert!(rare * (BM25_K1 + 1.0) >= bm25_block_bound(rare, 1_000_000), "tf → ∞ limit");
         assert!(bm25_block_bound(rare, 3) >= s3, "block bound dominates any member score");
         assert!(bm25_block_bound(rare, 1) >= s1);
-    }
-
-    #[test]
-    fn score_doc_sums_matching_terms_only() {
-        let mut inv = InvertedIndex::new();
-        inv.insert(&rec(1, &[], Some("alpha beta")));
-        inv.insert(&rec(2, &[], Some("alpha")));
-        let both = inv.score_doc(FileId::new(1), &tokenize("alpha beta"));
-        let one = inv.score_doc(FileId::new(2), &tokenize("alpha beta"));
-        assert!(both > one);
-        assert_eq!(inv.score_doc(FileId::new(3), &tokenize("alpha")), 0.0);
     }
 
     #[test]

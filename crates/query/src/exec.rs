@@ -27,9 +27,9 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use propeller_index::{
-    bm25_block_bound, bm25_idf, bm25_score, bm25_term_bound, record_contains_all,
-    record_contains_any, record_contains_phrase, record_tokens, AcgEpoch, AcgIndexGroup,
-    FileRecord, InvertedIndex, PostingsCursor, BLOCK,
+    bm25_block_bound, bm25_idf, bm25_score, record_contains_all, record_contains_any,
+    record_contains_phrase, record_tokens, AcgEpoch, AcgIndexGroup, FileRecord, InvertedIndex,
+    PostingsCursor, TermPostings, BLOCK,
 };
 use propeller_types::{AcgId, AttrName, FileId, Result, Timestamp, Value};
 
@@ -300,7 +300,7 @@ pub(crate) fn relevance_terms(pred: &Predicate) -> Vec<String> {
 /// of the reference executor). Both sides compute identical scores for
 /// the same corpus: same `N`, `df`, document lengths and operation order.
 enum RelevanceScorer<'a> {
-    Indexed(&'a InvertedIndex),
+    Indexed(IndexedScorer<'a>),
     Brute { doc_count: usize, avg_doc_len: f64, df: HashMap<String, usize> },
 }
 
@@ -309,7 +309,7 @@ impl<'a> RelevanceScorer<'a> {
     /// one exists, otherwise a brute statistics pass over the records.
     fn of_group(group: &'a AcgEpoch, terms: &[String]) -> Self {
         match group.inverted() {
-            Some(inv) => RelevanceScorer::Indexed(inv),
+            Some(inv) => RelevanceScorer::Indexed(IndexedScorer::new(inv, terms)),
             None => Self::brute(group.records(), terms),
         }
     }
@@ -341,11 +341,11 @@ impl<'a> RelevanceScorer<'a> {
         RelevanceScorer::Brute { doc_count, avg_doc_len, df }
     }
 
-    /// The record's BM25 score over `terms` (matching the inverted path's
-    /// [`InvertedIndex::score_doc`] exactly).
+    /// The record's BM25 score over `terms` (the terms the scorer was
+    /// built for).
     fn score(&self, record: &FileRecord, terms: &[String]) -> f64 {
         match self {
-            RelevanceScorer::Indexed(inv) => inv.score_doc(record.file, terms),
+            RelevanceScorer::Indexed(scorer) => scorer.score(record.file, &[]),
             RelevanceScorer::Brute { doc_count, avg_doc_len, df } => {
                 let tokens = record_tokens(record);
                 let doc_len = tokens.len() as u32;
@@ -364,6 +364,50 @@ impl<'a> RelevanceScorer<'a> {
                 score
             }
         }
+    }
+}
+
+/// BM25 straight off one group's inverted index. Everything that does not
+/// depend on the document — each scoring term's postings and idf, the
+/// average document length — is looked up once, when the scorer is built.
+struct IndexedScorer<'a> {
+    inv: &'a InvertedIndex,
+    avg_doc_len: f64,
+    /// Per scoring term, in [`relevance_terms`] order: its postings (`None`
+    /// when no document holds it) and its idf.
+    terms: Vec<(Option<&'a TermPostings>, f64)>,
+}
+
+impl<'a> IndexedScorer<'a> {
+    fn new(inv: &'a InvertedIndex, terms: &[String]) -> Self {
+        IndexedScorer {
+            inv,
+            avg_doc_len: inv.avg_doc_len(),
+            terms: terms.iter().map(|t| (inv.term(t), inv.idf(t))).collect(),
+        }
+    }
+
+    /// The document's BM25 score: the terms' contributions summed in term
+    /// order, skipping terms the document lacks. A term with a merge cursor
+    /// in `cursors` reads its tf off that cursor, which sits on the
+    /// document when the document holds the term; any other term finds its
+    /// tf by a binary search of its postings.
+    fn score(&self, file: FileId, cursors: &[TermCursor<'_>]) -> f64 {
+        let doc_len = self.inv.doc_len(file);
+        let mut score = 0.0;
+        for (slot, (postings, idf)) in self.terms.iter().enumerate() {
+            let tf = match cursors.iter().find(|tc| tc.slot == Some(slot)) {
+                Some(tc) => tc.cursor.current().filter(|p| p.file == file).map(|p| p.tf),
+                None => postings.and_then(|p| {
+                    let postings = p.postings();
+                    postings.binary_search_by_key(&file, |p| p.file).ok().map(|i| postings[i].tf)
+                }),
+            };
+            if let Some(tf) = tf {
+                score += bm25_score(*idf, tf, doc_len, self.avg_doc_len);
+            }
+        }
+        score
     }
 }
 
@@ -417,15 +461,44 @@ fn execute_relevance_scan(
 struct TermCursor<'a> {
     cursor: PostingsCursor<'a>,
     idf: f64,
-    /// `bm25_term_bound(idf)` — the term's score ceiling over any document.
+    /// `bm25_block_bound(idf, max_tf)` — the term's score ceiling over any
+    /// of its postings.
     bound: f64,
+    /// The term's index in the request's scoring terms, when it has one.
+    slot: Option<usize>,
+}
+
+/// What of `pred` a postings merge over `merged` does not prove: the
+/// predicate without the `contains` conjuncts every merged document
+/// already satisfies. A conjunctive merge (`All`/`Phrase`) proves each
+/// `contains` whose terms are all merged and each `contains-any` sharing a
+/// merged term; a disjunctive merge proves each `contains-any` that lists
+/// every merged term. Phrase adjacency, attribute compares and anything
+/// under `|` or `!` stay.
+fn merge_residual(pred: &Predicate, merged: &[String], mode: ContainsMode) -> Predicate {
+    let conjunctive = mode != ContainsMode::Any;
+    let proven = |conjunct: &Predicate| match conjunct {
+        Predicate::Contains { terms, mode: ContainsMode::All } if conjunctive => {
+            terms.iter().all(|t| merged.contains(t))
+        }
+        Predicate::Contains { terms, mode: ContainsMode::Any } if conjunctive => {
+            terms.iter().any(|t| merged.contains(t))
+        }
+        Predicate::Contains { terms, mode: ContainsMode::Any } => {
+            merged.iter().all(|t| terms.contains(t))
+        }
+        _ => false,
+    };
+    Predicate::and(pred.conjuncts().into_iter().filter(|c| !proven(c)).cloned().collect())
 }
 
 /// Executes an [`AccessPath::Postings`] plan: a document-at-a-time merge
 /// of the inverted index's postings lists for `terms` — conjunctive
 /// (`All`; `Phrase` adjacency stays in the post-filter) or disjunctive
-/// (`Any`) — streaming survivors through the exact predicate, the cursor,
-/// the optional node-global bound and the bounded top-k accumulator.
+/// (`Any`) — streaming survivors through the residual predicate (see
+/// [`merge_residual`]), the cursor, the optional node-global bound and the
+/// bounded top-k accumulator. A relevance sort scores each document from
+/// the tf its merge cursors sit on, so no record is re-tokenised.
 ///
 /// Under a relevance sort with a limit, the merge prunes with WAND-style
 /// max-score bounds: once the top-k heap is full, its worst retained score
@@ -469,6 +542,9 @@ fn execute_postings(
         return execute_classic(group, request, Plan { path: AccessPath::FullScan }, cutoff);
     };
 
+    let relevance = request.sort == SortKey::Relevance;
+    let scoring_terms = relevance_terms(&request.predicate);
+
     // Unique merge terms; a conjunctive merge with any unknown term has an
     // empty intersection, a disjunctive one just drops it.
     let mut unique: Vec<&String> = Vec::with_capacity(terms.len());
@@ -486,7 +562,8 @@ fn execute_postings(
                 cursors.push(TermCursor {
                     cursor: PostingsCursor::new(postings),
                     idf,
-                    bound: bm25_term_bound(idf),
+                    bound: bm25_block_bound(idf, postings.max_tf()),
+                    slot: scoring_terms.iter().position(|s| s == *term),
                 });
             }
             None if conjunctive => return (Vec::new(), stats_for(0, 0, 0, 0)),
@@ -502,8 +579,6 @@ fn execute_postings(
         cursors.sort_by_key(|t| t.cursor.remaining());
     }
 
-    let relevance = request.sort == SortKey::Relevance;
-    let scoring_terms = relevance_terms(&request.predicate);
     // The WAND bounds only cover the merged terms. If the request scores
     // extra terms (a second contains under an OR, say), a document's true
     // score can exceed the merge's bound and pruning would be unsound —
@@ -515,6 +590,8 @@ fn execute_postings(
         b.sort();
         a == b
     };
+    let residual = merge_residual(&request.predicate, terms, mode);
+    let scorer = relevance.then(|| IndexedScorer::new(inv, &scoring_terms));
 
     let mut topk = TopK::new(request.sort.clone(), request.limit);
     let mut scanned = 0usize;
@@ -532,19 +609,19 @@ fn execute_postings(
         topk.floor().and_then(|(key, _)| key.and_then(Value::as_f64))
     };
 
-    // Evaluates one merged document: score (or attribute key), exact
-    // predicate, cursor, node bound, offer.
-    let eval = |file: FileId, topk: &mut TopK, scanned: &mut usize| {
+    // Evaluates one merged document, with every merge cursor at or past
+    // it: residual predicate, score (or attribute key), cursor, node
+    // bound, offer.
+    let eval = |file: FileId, cursors: &[TermCursor<'_>], topk: &mut TopK, scanned: &mut usize| {
         *scanned += 1;
         let Some(record) = group.record(file) else { return };
-        let key = if relevance {
-            Some(Value::F64(inv.score_doc(file, &scoring_terms)))
-        } else {
-            request.sort.key_of(record)
-        };
-        if !matches_record(record, &request.predicate) {
+        if !matches_record(record, &residual) {
             return;
         }
+        let key = match &scorer {
+            Some(scorer) => Some(Value::F64(scorer.score(file, cursors))),
+            None => request.sort.key_of(record),
+        };
         if let Some(cursor) = &request.cursor {
             if !cursor.admits(&request.sort, key.as_ref(), record.file) {
                 return;
@@ -607,7 +684,7 @@ fn execute_postings(
                     continue;
                 }
             }
-            eval(candidate, &mut topk, &mut scanned);
+            eval(candidate, &cursors, &mut topk, &mut scanned);
             for tc in cursors.iter_mut() {
                 tc.cursor.advance();
             }
@@ -642,7 +719,7 @@ fn execute_postings(
                     let pivot_doc = cursors[pivot].cursor.current().expect("retained above").file;
                     let first_doc = cursors[0].cursor.current().expect("retained above").file;
                     if first_doc == pivot_doc {
-                        eval(pivot_doc, &mut topk, &mut scanned);
+                        eval(pivot_doc, &cursors, &mut topk, &mut scanned);
                         for tc in cursors.iter_mut() {
                             if tc.cursor.current().is_some_and(|p| p.file == pivot_doc) {
                                 tc.cursor.advance();
@@ -661,7 +738,7 @@ fn execute_postings(
                     // Plain DAAT-OR: evaluate the smallest current
                     // document, advancing every cursor sitting on it.
                     let doc = cursors[0].cursor.current().expect("retained above").file;
-                    eval(doc, &mut topk, &mut scanned);
+                    eval(doc, &cursors, &mut topk, &mut scanned);
                     for tc in cursors.iter_mut() {
                         if tc.cursor.current().is_some_and(|p| p.file == doc) {
                             tc.cursor.advance();
@@ -1665,6 +1742,22 @@ mod tests {
                 hits.iter().map(|h| h.sort_key.clone().unwrap().as_f64().unwrap()).collect();
             assert!(scores.windows(2).all(|w| w[0] >= w[1]), "descending scores: {scores:?}");
         }
+    }
+
+    #[test]
+    fn indexed_scorer_sums_matching_terms_only() {
+        let rec = |file, text: &str| {
+            FileRecord::new(FileId::new(file), InodeAttrs::default()).with_content(text)
+        };
+        let mut inv = InvertedIndex::new();
+        inv.insert(&rec(1, "alpha beta"));
+        inv.insert(&rec(2, "alpha"));
+        let scorer = IndexedScorer::new(&inv, &propeller_index::tokenize("alpha beta"));
+        let both = scorer.score(FileId::new(1), &[]);
+        let one = scorer.score(FileId::new(2), &[]);
+        assert!(both > one);
+        let alpha = IndexedScorer::new(&inv, &propeller_index::tokenize("alpha"));
+        assert_eq!(alpha.score(FileId::new(3), &[]), 0.0);
     }
 
     #[test]
